@@ -195,7 +195,7 @@ impl Sampler {
 /// `sample_interval > 0` — an [`Event::Interval`] snapshot of
 /// pipeline/queue occupancies every `sample_interval` leader cycles of
 /// the measured window.
-pub fn simulate_traced<S: Sink + Clone + 'static>(
+pub fn simulate_traced<S: Sink + Clone>(
     cfg: &SimConfig,
     benchmark: Benchmark,
     sample_interval: u64,
@@ -239,12 +239,6 @@ pub fn simulate_traced<S: Sink + Clone + 'static>(
             start_leader.committed,
             start_leader.commit_stall_cycles,
         );
-        if sample_interval == 0 {
-            // No interval snapshots wanted: let the system pick its
-            // engine (threaded leader/checker when eligible) instead
-            // of forcing the per-cycle sampling loop.
-            sys.run_instructions(cfg.scale.instructions);
-        }
         while sys.leader().activity().committed - start_leader.committed < cfg.scale.instructions {
             sys.step();
             let cycle = sys.total_cycles();
@@ -315,8 +309,8 @@ pub fn simulate_traced<S: Sink + Clone + 'static>(
         core.prefill_caches();
         let warm_span = SpanTimer::begin(&mut sink, "warmup", 0);
         core.run_instructions(cfg.scale.warmup_instructions);
-        core.reset_stats();
         warm_span.end(&mut sink, core.activity().cycles);
+        core.reset_stats();
         let measure_span = SpanTimer::begin(&mut sink, "measure", 0);
         let mut sampler = Sampler::new(sample_interval, 0, 0, 0);
         let mut commit_buf = Vec::with_capacity(8);
@@ -402,6 +396,39 @@ mod tests {
                 assert!(r.trailer_cpi.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn checkerless_warmup_span_ends_at_the_warmup_cycle_count() {
+        use rmt3d_telemetry::RecordingSink;
+        let cfg = SimConfig::nominal(ProcessorModel::TwoDA, RunScale::quick());
+        let sink = RecordingSink::new();
+        simulate_traced(&cfg, Benchmark::Gzip, 0, sink.clone());
+        // The same leader warmed the same way, untraced.
+        let mut hierarchy = CacheHierarchy::new(cfg.model.nuca_layout(), cfg.policy);
+        hierarchy.set_memory_cycles(memory_cycles(cfg.frequency));
+        let mut core = OooCore::new(
+            CoreConfig::leading_ev7_like(),
+            TraceGenerator::new(Benchmark::Gzip.profile()),
+            hierarchy,
+        );
+        core.prefill_caches();
+        core.run_instructions(cfg.scale.warmup_instructions);
+        let warm_cycles = core.activity().cycles;
+        assert!(warm_cycles > 0);
+        let ends: Vec<u64> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::SpanEnd {
+                    name: "warmup",
+                    cycle,
+                    ..
+                } => Some(*cycle),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ends, vec![warm_cycles], "warmup span end cycle");
     }
 
     #[test]

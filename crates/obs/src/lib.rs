@@ -50,7 +50,7 @@ pub use watchdog::{Stall, Watchdog, WatchdogConfig};
 
 /// FNV-1a 64-bit over a byte string: tiny, dependency-free, stable
 /// across platforms and compiler versions. Used for run spec hashes
-/// (the sweep cache uses its own copy for cache keys).
+/// and the sweep cache's keys.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

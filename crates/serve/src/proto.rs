@@ -13,7 +13,7 @@
 //! daemon. Requests are bounded by [`MAX_REQUEST_LINE`]; responses are
 //! unbounded (a `result` response carries whole cached results).
 
-use rmt3d_telemetry::json::{parse, JsonValue};
+use rmt3d_telemetry::json::{parse, write_json_string, JsonValue};
 use std::io::{self, BufRead};
 
 /// Upper bound on one request line in bytes. Anything longer is
@@ -180,34 +180,15 @@ fn line_text(mut buf: Vec<u8>) -> String {
 /// Renders a structured error response line (no trailing newline).
 pub fn error_line(msg: &str) -> String {
     let mut out = String::from("{\"ok\":false,\"error\":");
-    write_json_str(&mut out, msg);
+    write_json_string(&mut out, msg);
     out.push('}');
     out
-}
-
-/// Appends a JSON string literal (with escapes) to `buf`.
-pub fn write_json_str(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                buf.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => buf.push(c),
-        }
-    }
-    buf.push('"');
 }
 
 /// A JSON string literal of `s`, escaped.
 pub fn json_str(s: &str) -> String {
     let mut out = String::new();
-    write_json_str(&mut out, s);
+    write_json_string(&mut out, s);
     out
 }
 

@@ -162,10 +162,11 @@ impl JobQueue {
         let path = dir.join(JOURNAL_FILE);
         let mut jobs: BTreeMap<u64, JobEntry> = BTreeMap::new();
         let mut next_seq = 1u64;
-        if let Ok(text) = fs::read_to_string(&path) {
-            for line in text.lines() {
-                replay_line(line, &mut jobs, &mut next_seq);
-            }
+        // Lossy decoding: a torn multi-byte character in the last line
+        // must not cost the whole journal.
+        let bytes = fs::read(&path).unwrap_or_default();
+        for line in String::from_utf8_lossy(&bytes).lines() {
+            replay_line(line, &mut jobs, &mut next_seq);
         }
         // Jobs that were running when the daemon died resume as queued.
         for entry in jobs.values_mut() {
@@ -178,7 +179,14 @@ impl JobQueue {
                 entry.state = JobState::Cancelled;
             }
         }
-        let journal = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut journal = OpenOptions::new().create(true).append(true).open(&path)?;
+        // A crash mid-append can leave a torn last line; terminate it
+        // so the next record never glues onto the stub (replay skips
+        // the stub as a corrupt line).
+        if bytes.last().is_some_and(|&b| b != b'\n') {
+            journal.write_all(b"\n")?;
+            journal.flush()?;
+        }
         Ok(JobQueue {
             dir: dir.to_path_buf(),
             journal,
@@ -352,8 +360,9 @@ impl JobQueue {
     }
 
     fn append(&mut self, line: &str) -> io::Result<()> {
-        self.journal.write_all(line.as_bytes())?;
-        self.journal.write_all(b"\n")?;
+        // One write per record, so a torn append never splits a line
+        // from its terminator.
+        self.journal.write_all(format!("{line}\n").as_bytes())?;
         self.journal.flush()
     }
 }

@@ -192,3 +192,34 @@ fn corrupt_journal_lines_are_skipped_not_fatal() {
     assert!(q.get("job-000002").is_some());
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn submission_after_a_torn_tail_survives_the_next_replay() {
+    let dir = tmp("torn-tail");
+    let first = {
+        let mut q = JobQueue::open(&dir).unwrap();
+        submit(&mut q, "gzip", 0)
+    };
+    // A crash mid-append leaves a partial record with no newline, here
+    // cut inside a multi-byte character.
+    let path = dir.join(JOURNAL_FILE);
+    let mut bytes = fs::read(&path).unwrap();
+    bytes.extend_from_slice(b"{\"event\":\"finished\",\"error\":\"\xc3");
+    fs::write(&path, bytes).unwrap();
+
+    // The acknowledged submission after the restart must not glue onto
+    // the torn stub, or the next replay loses it.
+    let second = {
+        let mut q = JobQueue::open(&dir).unwrap();
+        submit(&mut q, "mcf", 0)
+    };
+    let q = JobQueue::open(&dir).unwrap();
+    assert_eq!(
+        q.count(JobState::Queued),
+        2,
+        "both acknowledged jobs replay"
+    );
+    assert!(q.get(&first).is_some());
+    assert!(q.get(&second).is_some());
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -152,20 +152,8 @@ impl JobSpec {
     /// Stable 64-bit content hash of [`JobSpec::canonical`] (FNV-1a);
     /// the cache file name is this key in hex.
     pub fn cache_key(&self) -> u64 {
-        fnv1a(self.canonical().as_bytes())
+        rmt3d_obs::fnv1a(self.canonical().as_bytes())
     }
-}
-
-/// FNV-1a 64-bit: tiny, dependency-free, stable across platforms and
-/// compiler versions (unlike `DefaultHasher`, which is explicitly
-/// unstable between releases).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -209,6 +197,20 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), keys.len(), "keys must be distinct");
+    }
+
+    #[test]
+    fn cache_key_is_pinned() {
+        // Every on-disk cache entry is named by this key: a change to
+        // the hash or the canonical text orphans them all.
+        let job = SweepSpec::new(
+            &[ProcessorModel::ThreeD2A],
+            &[Benchmark::Mcf],
+            RunScale::quick(),
+        )
+        .expand()
+        .remove(0);
+        assert_eq!(job.cache_key(), 0x163e_7042_45fc_3296);
     }
 
     #[test]

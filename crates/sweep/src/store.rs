@@ -22,7 +22,7 @@ use crate::codec;
 use crate::spec::JobSpec;
 use rmt3d::PerfResult;
 use rmt3d_obs::ledger::{unix_now_ms, write_atomic};
-use rmt3d_telemetry::json::{parse, JsonObject, JsonValue};
+use rmt3d_telemetry::json::{parse, write_json_string, JsonObject, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write as _};
@@ -155,7 +155,7 @@ impl ResultStore {
         let final_path = self.entry_path(job);
         let tmp_path = final_path.with_extension(format!("tmp.{}", std::process::id()));
         let mut line = String::from("{\"key\":");
-        write_json_str(&mut line, &job.canonical());
+        write_json_string(&mut line, &job.canonical());
         line.push_str(",\"result\":");
         line.push_str(&codec::encode(result));
         line.push_str("}\n");
@@ -359,18 +359,6 @@ fn parse_index(text: &str) -> Option<BTreeMap<String, IndexEntry>> {
     Some(out)
 }
 
-fn write_json_str(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            c => buf.push(c),
-        }
-    }
-    buf.push('"');
-}
-
 /// Re-renders a parsed JSON subtree to text so the result decoder can
 /// consume it. Only the shapes the codec emits (objects, arrays,
 /// numbers, strings) need to round-trip.
@@ -381,7 +369,7 @@ fn render(v: &JsonValue) -> String {
         JsonValue::Num(n) => format!("{n}"),
         JsonValue::Str(s) => {
             let mut out = String::new();
-            write_json_str(&mut out, s);
+            write_json_string(&mut out, s);
             out
         }
         JsonValue::Arr(items) => {
@@ -393,7 +381,7 @@ fn render(v: &JsonValue) -> String {
                 .iter()
                 .map(|(k, val)| {
                     let mut key = String::new();
-                    write_json_str(&mut key, k);
+                    write_json_string(&mut key, k);
                     format!("{key}:{}", render(val))
                 })
                 .collect();
@@ -448,6 +436,27 @@ mod tests {
                 verify_failures: 0
             }
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn control_characters_in_the_key_are_escaped_and_round_trip() {
+        let dir = tmp("control");
+        let store = ResultStore::open(&dir).unwrap();
+        let mut job = one_job();
+        job.cfg.layout = Some(rmt3d_cache::NucaLayout {
+            name: "2d-a\u{1}\tcustom",
+            ..ProcessorModel::TwoDA.nuca_layout()
+        });
+        let r = simulate(&job.cfg, job.benchmark);
+        store.save(&job, &r).unwrap();
+        let text = fs::read_to_string(store.entry_path(&job)).unwrap();
+        assert!(
+            text.contains("2d-a\\u0001\\tcustom"),
+            "control characters must be escaped: {text}"
+        );
+        let back = store.load(&job).expect("hit after save");
+        assert_eq!(codec::encode(&back), codec::encode(&r));
         let _ = fs::remove_dir_all(&dir);
     }
 
