@@ -20,7 +20,7 @@ use crate::runctl::DEFAULT_RUNS_ROOT;
 use rmt3d_serve::client::{self, DEFAULT_ADDR};
 use rmt3d_serve::{serve, ServeOptions};
 use rmt3d_sweep::codec;
-use rmt3d_telemetry::json::JsonValue;
+use rmt3d_telemetry::json::{write_json_string, write_json_value, JsonObject, JsonValue};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -82,56 +82,52 @@ pub fn run_serve_command(mut a: Args) -> ExitCode {
     }
 }
 
+/// Adds one axis flag to a job spec: `all`, or a comma-separated list
+/// of names written as a JSON string array.
+fn axis(spec: &mut JsonObject, key: &str, list: Option<String>) {
+    let Some(list) = list else { return };
+    if list == "all" {
+        spec.str(key, "all");
+        return;
+    }
+    let mut names = String::from("[");
+    for (i, name) in list.split(',').enumerate() {
+        if i > 0 {
+            names.push(',');
+        }
+        write_json_string(&mut names, name.trim());
+    }
+    names.push(']');
+    spec.raw(key, &names);
+}
+
 fn spec_from_flags(a: &mut Args, kind: &str) -> Result<String, String> {
     if let Some(spec) = a.opt("--spec")? {
         return Ok(spec);
     }
-    fn names(out: &mut String, key: &str, list: &str) {
-        out.push_str(&format!("\"{key}\":"));
-        if list == "all" {
-            out.push_str("\"all\"");
-            return;
-        }
-        out.push('[');
-        for (i, name) in list.split(',').enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", name.trim()));
-        }
-        out.push(']');
-    }
-    let mut fields: Vec<String> = Vec::new();
-    let axis = |key: &str, list: Option<String>| {
-        list.map(|list| {
-            let mut s = String::new();
-            names(&mut s, key, &list);
-            s
-        })
-    };
-    match kind {
+    let mut spec = JsonObject::new();
+    let counts: &[(&str, &str)] = match kind {
         "sweep" => {
-            fields.extend(axis("models", a.opt("--models")?));
-            fields.extend(axis("benchmarks", a.opt("--benchmarks")?));
-            if let Some(n) = a.parsed::<u64>("--instructions")? {
-                fields.push(format!("\"instructions\":{n}"));
-            }
+            axis(&mut spec, "models", a.opt("--models")?);
+            axis(&mut spec, "benchmarks", a.opt("--benchmarks")?);
+            &[("--instructions", "instructions")]
         }
         _ => {
-            fields.extend(axis("sites", a.opt("--sites")?));
-            fields.extend(axis("benchmarks", a.opt("--benchmarks")?));
-            if let Some(n) = a.parsed::<u64>("--faults-per-site")? {
-                fields.push(format!("\"faults_per_site\":{n}"));
-            }
-            if let Some(n) = a.parsed::<u64>("--seed")? {
-                fields.push(format!("\"seed\":{n}"));
-            }
-            if let Some(n) = a.parsed::<u64>("--instructions")? {
-                fields.push(format!("\"instructions\":{n}"));
-            }
+            axis(&mut spec, "sites", a.opt("--sites")?);
+            axis(&mut spec, "benchmarks", a.opt("--benchmarks")?);
+            &[
+                ("--faults-per-site", "faults_per_site"),
+                ("--seed", "seed"),
+                ("--instructions", "instructions"),
+            ]
+        }
+    };
+    for (flag, key) in counts {
+        if let Some(n) = a.parsed::<u64>(flag)? {
+            spec.u64(key, n);
         }
     }
-    Ok(format!("{{{}}}", fields.join(",")))
+    Ok(spec.finish())
 }
 
 /// `rmt3d submit [--addr A] [--kind sweep|campaign] [--priority N]
@@ -497,7 +493,9 @@ pub fn run_watch_command(mut a: Args) -> ExitCode {
                     .unwrap_or("server reported an error"),
             );
         }
-        println!("{}", raw_line(&v));
+        let mut line = String::new();
+        write_json_value(&mut line, &v);
+        println!("{line}");
         if v.get("event").and_then(JsonValue::as_str) == Some("job_done") {
             final_state = v
                 .get("state")
@@ -513,49 +511,36 @@ pub fn run_watch_command(mut a: Args) -> ExitCode {
     }
 }
 
-/// Re-renders a parsed event compactly. The daemon's lines are already
-/// compact JSON, but the client parses them for error detection, so it
-/// re-renders rather than buffering both forms.
-fn raw_line(v: &JsonValue) -> String {
-    fn render(v: &JsonValue, out: &mut String) {
-        match v {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            JsonValue::Str(s) => {
-                out.push_str(&rmt3d_serve::proto::json_str(s));
-            }
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render(item, out);
-                }
-                out.push(']');
-            }
-            JsonValue::Obj(map) => {
-                out.push('{');
-                for (i, (k, val)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&rmt3d_serve::proto::json_str(k));
-                    out.push(':');
-                    render(val, out);
-                }
-                out.push('}');
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rmt3d_telemetry::json::parse;
+
+    fn args(list: &[&str]) -> Args {
+        Args::new(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
-    let mut out = String::new();
-    render(v, &mut out);
-    out
+
+    #[test]
+    fn axis_flags_build_a_compact_spec() {
+        let mut a = args(&["--models", "2d-a, 3d-2a", "--benchmarks", "all"]);
+        let spec = spec_from_flags(&mut a, "sweep").unwrap();
+        assert_eq!(spec, r#"{"models":["2d-a","3d-2a"],"benchmarks":"all"}"#);
+        let mut a = args(&["--sites", "rvq_operand", "--seed", "7"]);
+        let spec = spec_from_flags(&mut a, "campaign").unwrap();
+        assert_eq!(spec, r#"{"sites":["rvq_operand"],"seed":7}"#);
+        assert_eq!(spec_from_flags(&mut args(&[]), "sweep").unwrap(), "{}");
+    }
+
+    #[test]
+    fn axis_flag_names_are_escaped() {
+        let mut a = args(&["--models", r#"a"b,c\d"#, "--instructions", "9"]);
+        let spec = spec_from_flags(&mut a, "sweep").unwrap();
+        let v = parse(&spec).unwrap_or_else(|e| panic!("invalid spec {spec}: {e}"));
+        let names: Vec<&str> = match v.get("models") {
+            Some(JsonValue::Arr(items)) => items.iter().filter_map(JsonValue::as_str).collect(),
+            other => panic!("models is not an array: {other:?}"),
+        };
+        assert_eq!(names, [r#"a"b"#, r"c\d"]);
+        assert_eq!(v.get("instructions").and_then(JsonValue::as_u64), Some(9));
+    }
 }

@@ -215,7 +215,9 @@ pub fn simulate_traced<S: Sink + Clone>(
     );
     let run_span = SpanTimer::begin(&mut sink, "simulate", 0);
 
-    let result = if cfg.model.has_checker() {
+    // Both branches yield the cycle their `measure` span ended at, so
+    // the enclosing `simulate` span closes on the same clock.
+    let (result, measure_end) = if cfg.model.has_checker() {
         let rmt_cfg = RmtConfig {
             dfs: DfsConfig::paper().with_frequency_cap(cfg.checker_peak_fraction),
             ..RmtConfig::paper()
@@ -263,7 +265,8 @@ pub fn simulate_traced<S: Sink + Clone>(
                 emit(&mut sink, || Event::Interval(s));
             }
         }
-        measure_span.end(&mut sink, sys.total_cycles());
+        let measure_end = sys.total_cycles();
+        measure_span.end(&mut sink, measure_end);
         let leader_act = sys.leader().activity().delta_since(&start_leader);
         let trailer_act = sys.trailer().activity().delta_since(&start_trailer);
         // The composed stacks fold in recovery/DFS cycles from system
@@ -282,15 +285,21 @@ pub fn simulate_traced<S: Sink + Clone>(
             // `trace-report` can rebuild them from the JSONL alone.
             let cycle = sys.total_cycles();
             for c in CpiComponent::ALL {
-                let name = c.leader_counter_name();
                 let value = leader_cpi.get(c) as f64;
-                emit(&mut sink, || Event::Counter { name, cycle, value });
-                let name = c.checker_counter_name();
+                emit(&mut sink, || Event::Counter {
+                    name: c.leader_counter_name().into(),
+                    cycle,
+                    value,
+                });
                 let value = trailer_cpi.get(c) as f64;
-                emit(&mut sink, || Event::Counter { name, cycle, value });
+                emit(&mut sink, || Event::Counter {
+                    name: c.checker_counter_name().into(),
+                    cycle,
+                    value,
+                });
             }
         }
-        PerfResult {
+        let result = PerfResult {
             model: cfg.model,
             benchmark,
             frequency: cfg.frequency,
@@ -300,10 +309,11 @@ pub fn simulate_traced<S: Sink + Clone>(
             l2: sys.leader().caches().l2().stats().clone(),
             dfs_histogram: sys.frequency_histogram(),
             mean_checker_fraction: sys.dfs().mean_fraction(),
-            total_cycles: sys.total_cycles() - start_cycles,
+            total_cycles: measure_end - start_cycles,
             leader_cpi,
             trailer_cpi,
-        }
+        };
+        (result, measure_end)
     } else {
         let mut core = leader;
         core.prefill_caches();
@@ -333,19 +343,23 @@ pub fn simulate_traced<S: Sink + Clone>(
                 emit(&mut sink, || Event::Interval(s));
             }
         }
-        measure_span.end(&mut sink, core.activity().cycles);
+        let measure_end = core.activity().cycles;
+        measure_span.end(&mut sink, measure_end);
         // reset_stats() after warm-up cleared the stack, so the core's
         // accumulated stack is exactly the measured window.
         let leader_cpi = *core.cpi_stack();
         if S::ENABLED {
             let cycle = core.activity().cycles;
             for c in CpiComponent::ALL {
-                let name = c.leader_counter_name();
                 let value = leader_cpi.get(c) as f64;
-                emit(&mut sink, || Event::Counter { name, cycle, value });
+                emit(&mut sink, || Event::Counter {
+                    name: c.leader_counter_name().into(),
+                    cycle,
+                    value,
+                });
             }
         }
-        PerfResult {
+        let result = PerfResult {
             model: cfg.model,
             benchmark,
             frequency: cfg.frequency,
@@ -355,12 +369,13 @@ pub fn simulate_traced<S: Sink + Clone>(
             l2: core.caches().l2().stats().clone(),
             dfs_histogram: [0.0; DFS_LEVELS],
             mean_checker_fraction: 0.0,
-            total_cycles: core.activity().cycles,
+            total_cycles: measure_end,
             leader_cpi,
             trailer_cpi: CpiStack::new(),
-        }
+        };
+        (result, measure_end)
     };
-    run_span.end(&mut sink, result.total_cycles);
+    run_span.end(&mut sink, measure_end);
     result
 }
 
@@ -420,15 +435,38 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e {
-                Event::SpanEnd {
-                    name: "warmup",
-                    cycle,
-                    ..
-                } => Some(*cycle),
+                Event::SpanEnd { name, cycle, .. } if name == "warmup" => Some(*cycle),
                 _ => None,
             })
             .collect();
         assert_eq!(ends, vec![warm_cycles], "warmup span end cycle");
+    }
+
+    #[test]
+    fn simulate_span_ends_where_measure_ends() {
+        use rmt3d_telemetry::RecordingSink;
+        for model in [ProcessorModel::TwoDA, ProcessorModel::ThreeD2A] {
+            let sink = RecordingSink::new();
+            let cfg = SimConfig::nominal(model, RunScale::quick());
+            simulate_traced(&cfg, Benchmark::Gzip, 0, sink.clone());
+            let ends: Vec<(String, u64)> = sink
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::SpanEnd { name, cycle, .. } => Some((name.to_string(), *cycle)),
+                    _ => None,
+                })
+                .collect();
+            let end_of = |span: &str| ends.iter().find(|(n, _)| n == span).map(|&(_, c)| c);
+            let simulate_end = end_of("simulate").expect("simulate span");
+            assert_eq!(Some(simulate_end), end_of("measure"), "{model:?}");
+            for (name, cycle) in &ends {
+                assert!(
+                    simulate_end >= *cycle,
+                    "{model:?}: simulate ends at {simulate_end}, before {name} at {cycle}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -202,18 +202,23 @@ fn read_cache_stats(v: &JsonValue, key: &str) -> Result<CacheStats, String> {
 /// Decodes a result from one JSON line. Errors describe the first
 /// missing or ill-typed field.
 pub fn decode(line: &str) -> Result<PerfResult, String> {
-    let v = parse(line)?;
-    let model = need(&v, "model")?
+    decode_value(&parse(line)?)
+}
+
+/// Decodes a result from an already-parsed JSON value, e.g. the
+/// `result` subtree of a cache entry.
+pub fn decode_value(v: &JsonValue) -> Result<PerfResult, String> {
+    let model = need(v, "model")?
         .as_str()
         .ok_or("\"model\" is not a string")?
         .parse()
         .map_err(|e| format!("{e}"))?;
-    let benchmark = need(&v, "benchmark")?
+    let benchmark = need(v, "benchmark")?
         .as_str()
         .ok_or("\"benchmark\" is not a string")?
         .parse()
         .map_err(|e| format!("{e}"))?;
-    let caches_v = need(&v, "caches")?;
+    let caches_v = need(v, "caches")?;
     let caches = HierarchyStats {
         l1i: read_cache_stats(caches_v, "l1i")?,
         l1d: read_cache_stats(caches_v, "l1d")?,
@@ -221,7 +226,7 @@ pub fn decode(line: &str) -> Result<PerfResult, String> {
         l2_misses: need_u64(caches_v, "l2_misses")?,
         instructions: need_u64(caches_v, "instructions")?,
     };
-    let l2_v = need(&v, "l2")?;
+    let l2_v = need(v, "l2")?;
     let l2 = NucaStats {
         accesses: need_u64(l2_v, "accesses")?,
         hits: need_u64(l2_v, "hits")?,
@@ -235,7 +240,7 @@ pub fn decode(line: &str) -> Result<PerfResult, String> {
         hit_cycles_sum: need_u64(l2_v, "hit_cycles_sum")?,
         migrations: need_u64(l2_v, "migrations")?,
     };
-    let hist_v = need_arr(&v, "dfs_histogram")?;
+    let hist_v = need_arr(v, "dfs_histogram")?;
     let mut dfs_histogram = [0.0; rmt3d::rmt::DFS_LEVELS];
     if hist_v.len() != dfs_histogram.len() {
         return Err(format!(
@@ -250,16 +255,16 @@ pub fn decode(line: &str) -> Result<PerfResult, String> {
     Ok(PerfResult {
         model,
         benchmark,
-        frequency: rmt3d_units::Gigahertz(need_f64(&v, "frequency")?),
-        leader: read_counters(&v, "leader")?,
-        trailer: read_counters(&v, "trailer")?,
-        leader_cpi: read_cpi(&v, "leader_cpi")?,
-        trailer_cpi: read_cpi(&v, "trailer_cpi")?,
+        frequency: rmt3d_units::Gigahertz(need_f64(v, "frequency")?),
+        leader: read_counters(v, "leader")?,
+        trailer: read_counters(v, "trailer")?,
+        leader_cpi: read_cpi(v, "leader_cpi")?,
+        trailer_cpi: read_cpi(v, "trailer_cpi")?,
         caches,
         l2,
         dfs_histogram,
-        mean_checker_fraction: need_f64(&v, "mean_checker_fraction")?,
-        total_cycles: need_u64(&v, "total_cycles")?,
+        mean_checker_fraction: need_f64(v, "mean_checker_fraction")?,
+        total_cycles: need_u64(v, "total_cycles")?,
     })
 }
 

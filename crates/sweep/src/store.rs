@@ -131,7 +131,7 @@ impl ResultStore {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        let decoded = v.get("result").and_then(|r| codec::decode(&render(r)).ok());
+        let decoded = v.get("result").and_then(|r| codec::decode_value(r).ok());
         match decoded {
             Some(result) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -357,37 +357,6 @@ fn parse_index(text: &str) -> Option<BTreeMap<String, IndexEntry>> {
         );
     }
     Some(out)
-}
-
-/// Re-renders a parsed JSON subtree to text so the result decoder can
-/// consume it. Only the shapes the codec emits (objects, arrays,
-/// numbers, strings) need to round-trip.
-fn render(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Null => "null".into(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Num(n) => format!("{n}"),
-        JsonValue::Str(s) => {
-            let mut out = String::new();
-            write_json_string(&mut out, s);
-            out
-        }
-        JsonValue::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render).collect();
-            format!("[{}]", inner.join(","))
-        }
-        JsonValue::Obj(map) => {
-            let inner: Vec<String> = map
-                .iter()
-                .map(|(k, val)| {
-                    let mut key = String::new();
-                    write_json_string(&mut key, k);
-                    format!("{key}:{}", render(val))
-                })
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
 }
 
 #[cfg(test)]

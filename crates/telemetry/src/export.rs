@@ -400,7 +400,6 @@ pub fn write_samples_csv<'a, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::ParsedEvent;
     use crate::registry::Log2Histogram;
 
     /// Shared byte buffer that outlives the sink, so tests can inspect
@@ -427,7 +426,7 @@ mod tests {
     fn fault(cycle: u64, corrected: bool) -> Event {
         Event::FaultInjected {
             cycle,
-            site: "lvq_value",
+            site: "lvq_value".into(),
             bit: 1,
             corrected,
         }
@@ -437,22 +436,23 @@ mod tests {
     fn jsonl_sink_streams_parseable_lines() {
         let buf = SharedBuf::default();
         let mut sink = JsonlSink::new(buf.clone());
-        sink.record(&fault(10, true));
-        sink.record(&Event::SpanBegin {
-            name: "measure",
+        let span = Event::SpanBegin {
+            name: "measure".into(),
             cycle: 10,
-        });
+        };
+        sink.record(&fault(10, true));
+        sink.record(&span);
         let mut reg = MetricsRegistry::new();
         reg.record("ipc", 1.25);
         sink.write_summary(&reg);
         sink.finish().unwrap();
         let text = buf.text();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            ParsedEvent::from_json_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-        }
-        assert!(lines[2].contains("\"event\":\"summary\""));
+        let decoded: Vec<Option<Event>> = text
+            .lines()
+            .map(|line| Event::from_json_line(line).unwrap_or_else(|e| panic!("{line}: {e}")))
+            .collect();
+        // The summary line closes the stream and decodes to no event.
+        assert_eq!(decoded, vec![Some(fault(10, true)), Some(span), None]);
     }
 
     #[test]
@@ -474,7 +474,8 @@ mod tests {
         assert!(text.ends_with('\n'), "trace must be newline-terminated");
         assert_eq!(text.lines().count(), 2);
         for line in text.lines() {
-            ParsedEvent::from_json_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let event = Event::from_json_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(event.is_some(), "{line}");
         }
     }
 
@@ -622,15 +623,15 @@ mod tests {
         }));
         sink.record(&Event::CampaignTrial {
             trial: 0,
-            site: "rvq_operand",
-            fate: "detected_recovered",
+            site: "rvq_operand".into(),
+            fate: "detected_recovered".into(),
             detect_cycles: 37,
             ok: true,
         });
         sink.record(&Event::CampaignTrial {
             trial: 1,
-            site: "lvq_value",
-            fate: "corrected_by_ecc",
+            site: "lvq_value".into(),
+            fate: "corrected_by_ecc".into(),
             detect_cycles: 0,
             ok: true,
         });

@@ -4,7 +4,8 @@
 //! module implements exactly the subset of JSON the telemetry schema
 //! needs: flat objects of strings, numbers, and booleans, written one
 //! per line (JSON Lines), plus a small recursive-descent parser used by
-//! the round-trip tests and by consumers that want to read traces back.
+//! the round-trip tests and by consumers that want to read traces back,
+//! and [`write_json_value`] to print a parsed value compactly.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -182,6 +183,47 @@ pub fn write_json_string(buf: &mut String, s: &str) {
         }
     }
     buf.push('"');
+}
+
+/// Appends `v` to `buf` as compact JSON: object keys in sorted order
+/// (the parser keeps them in a `BTreeMap`), integral numbers without a
+/// fraction (`3`, not `3.0`), non-finite numbers as `null`. The
+/// workspace's one writer for parsed values.
+pub fn write_json_value(buf: &mut String, v: &JsonValue) {
+    match v {
+        JsonValue::Null => buf.push_str("null"),
+        JsonValue::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Num(n) if !n.is_finite() => buf.push_str("null"),
+        JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+            let _ = write!(buf, "{}", *n as i64);
+        }
+        JsonValue::Num(n) => {
+            let _ = write!(buf, "{n}");
+        }
+        JsonValue::Str(s) => write_json_string(buf, s),
+        JsonValue::Arr(items) => {
+            buf.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    buf.push(',');
+                }
+                write_json_value(buf, item);
+            }
+            buf.push(']');
+        }
+        JsonValue::Obj(map) => {
+            buf.push('{');
+            for (i, (key, val)) in map.iter().enumerate() {
+                if i > 0 {
+                    buf.push(',');
+                }
+                write_json_string(buf, key);
+                buf.push(':');
+                write_json_value(buf, val);
+            }
+            buf.push('}');
+        }
+    }
 }
 
 /// Parses one JSON document. Returns an error message with a byte
@@ -419,6 +461,23 @@ mod tests {
         assert!(parse("[1,2,]").is_err());
         assert!(parse("123 456").is_err());
         assert!(parse("tru").is_err());
+    }
+
+    #[test]
+    fn value_writer_sorts_keys_and_drops_integral_fractions() {
+        // A tagged daemon event line as `rmt3d watch` receives it: keys
+        // in emission order, integral floats written with a fraction.
+        let line = r#"{"job":"j-000003","event":"interval","cycle":4000,"ipc":1.0,"checker_fraction":0.6000000000000001,"dims":[2,-3.5,null,true],"note":"a\"b\\c\u0001","nested":{"z":0.0,"a":false}}"#;
+        let mut out = String::new();
+        write_json_value(&mut out, &parse(line).unwrap());
+        assert_eq!(
+            out,
+            r#"{"checker_fraction":0.6000000000000001,"cycle":4000,"dims":[2,-3.5,null,true],"event":"interval","ipc":1,"job":"j-000003","nested":{"a":false,"z":0},"note":"a\"b\\c\u0001"}"#
+        );
+        // The output is a fixed point of parse + write.
+        let mut again = String::new();
+        write_json_value(&mut again, &parse(&out).unwrap());
+        assert_eq!(again, out);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! use rmt3d_telemetry::{emit, Event, RecordingSink, Sink};
 //!
 //! let mut sink = RecordingSink::new();
-//! emit(&mut sink, || Event::Counter { name: "ipc", cycle: 100, value: 1.5 });
+//! emit(&mut sink, || Event::Counter { name: "ipc".into(), cycle: 100, value: 1.5 });
 //! assert_eq!(sink.events().len(), 1);
 //! ```
 
@@ -40,7 +40,6 @@ pub mod sample;
 pub mod sink;
 pub mod trace_event;
 
-pub use codec::ParsedEvent;
 pub use cpi::{CpiComponent, CpiStack};
 pub use event::Event;
 pub use export::{
@@ -67,7 +66,10 @@ pub struct SpanTimer {
 impl SpanTimer {
     /// Emits `SpanBegin` and starts the clock.
     pub fn begin<S: Sink>(sink: &mut S, name: &'static str, cycle: u64) -> SpanTimer {
-        emit(sink, || Event::SpanBegin { name, cycle });
+        emit(sink, || Event::SpanBegin {
+            name: name.into(),
+            cycle,
+        });
         SpanTimer {
             name,
             start: S::ENABLED.then(Instant::now),
@@ -81,7 +83,7 @@ impl SpanTimer {
             .map(|t| t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64)
             .unwrap_or(0);
         emit(sink, || Event::SpanEnd {
-            name: self.name,
+            name: self.name.into(),
             cycle,
             wall_nanos,
         });
@@ -102,14 +104,14 @@ mod tests {
         assert_eq!(
             events[0],
             Event::SpanBegin {
-                name: "phase",
+                name: "phase".into(),
                 cycle: 5
             }
         );
-        match events[1] {
+        match &events[1] {
             Event::SpanEnd { name, cycle, .. } => {
                 assert_eq!(name, "phase");
-                assert_eq!(cycle, 10);
+                assert_eq!(*cycle, 10);
             }
             ref other => panic!("wrong event: {other:?}"),
         }

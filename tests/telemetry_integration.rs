@@ -1,9 +1,10 @@
 //! End-to-end checks of the telemetry stack: JSONL round-trips through
 //! the hand-rolled codec, traces are deterministic across identical
-//! runs, and attaching a `NullSink` cannot change simulation results.
+//! runs, a decoded trace renders exactly like the live one, and
+//! attaching a `NullSink` cannot change simulation results.
 
 use rmt3d::telemetry::{
-    CollectorSink, CpiComponent, Event, JsonlSink, ParsedEvent, RecordingSink, TraceEventSink,
+    CollectorSink, CpiComponent, Event, JsonlSink, RecordingSink, Sink, TraceEventSink,
 };
 use rmt3d::{simulate, simulate_traced, PerfResult, ProcessorModel, RunScale, SimConfig};
 use rmt3d_workload::Benchmark;
@@ -58,9 +59,8 @@ fn every_jsonl_line_parses_and_covers_multiple_kinds() {
     let mut kinds = std::collections::BTreeSet::new();
     let mut lines = 0;
     for line in text.lines() {
-        let parsed =
-            ParsedEvent::from_json_line(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
-        kinds.insert(parsed.kind());
+        let parsed = Event::from_json_line(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
+        kinds.insert(parsed.as_ref().map_or("summary", Event::kind));
         lines += 1;
     }
     assert!(lines > 20, "trace should have many lines, got {lines}");
@@ -205,6 +205,54 @@ fn perfetto_trace_is_strict_json_and_byte_deterministic() {
         .collect();
     assert!(names.contains(&"cpi_leader_base_issue"), "{names:?}");
     assert!(names.contains(&"cpi_checker_dfs_throttled"), "{names:?}");
+}
+
+#[test]
+fn offline_chrome_rendering_matches_live_on_a_real_run() {
+    // One traced run teed into a deterministic JSONL trace and a live
+    // Chrome trace. Decoding the JSONL and replaying it through a second
+    // Chrome sink must reproduce the live trace byte for byte: spans,
+    // counters, intervals and DFS transitions all cross the codec.
+    let jsonl_buf = SharedBuf::default();
+    let live_buf = SharedBuf::default();
+    let mut jsonl = JsonlSink::new(jsonl_buf.clone()).deterministic();
+    let mut live = TraceEventSink::new(live_buf.clone());
+    simulate_traced(
+        &SimConfig::nominal(ProcessorModel::ThreeD2A, RunScale::quick()),
+        Benchmark::Gzip,
+        2_000,
+        (jsonl.clone(), live.clone()),
+    );
+    jsonl.finish().unwrap();
+    live.finish().unwrap();
+
+    let replay_buf = SharedBuf::default();
+    let mut replay = TraceEventSink::new(replay_buf.clone());
+    let text = String::from_utf8(jsonl_buf.0.borrow().clone()).unwrap();
+    let mut kinds = std::collections::BTreeSet::new();
+    for line in text.lines() {
+        let event = Event::from_json_line(line)
+            .unwrap_or_else(|e| panic!("bad line {line}: {e}"))
+            .expect("no summary line was written");
+        kinds.insert(event.kind());
+        replay.record(&event);
+    }
+    replay.finish().unwrap();
+    for kind in [
+        "span_begin",
+        "span_end",
+        "counter",
+        "interval",
+        "dfs_transition",
+    ] {
+        assert!(kinds.contains(kind), "{kind} missing from {kinds:?}");
+    }
+    let live = String::from_utf8(live_buf.0.borrow().clone()).unwrap();
+    let replayed = String::from_utf8(replay_buf.0.borrow().clone()).unwrap();
+    assert!(
+        live == replayed,
+        "offline rendering diverges from the live trace"
+    );
 }
 
 #[test]
