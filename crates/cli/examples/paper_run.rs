@@ -4,7 +4,7 @@
 //! cargo run --release -p rmt3d-cli --example paper_run | tee paper_results.txt
 //! ```
 //!
-//! Takes on the order of 15-30 minutes serially; the heavy sweeps
+//! Takes about 2.5 minutes on a 2-vCPU container; the heavy sweeps
 //! (Fig. 4, Fig. 5, iso-thermal) run on the `rmt3d-sweep` parallel
 //! engine, one worker per available core. `EXPERIMENTS.md` records one
 //! such run against the paper's numbers.

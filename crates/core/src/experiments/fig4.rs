@@ -187,9 +187,13 @@ pub fn run_with(
 
     let mut variants = Vec::new();
     for w in [7.0, 15.0] {
+        // The default 3d-2a value is the sweep's own point at `w`.
+        let sweep_point = points.iter().find(|p| p.checker_power.0 == w);
         variants.push(Fig4Variants {
             checker_power: Watts(w),
-            default_3d: mean_peak(&p3_perfs, ProcessorModel::ThreeD2A, w, scale.thermal_grid)?,
+            default_3d: sweep_point
+                .expect("the variant powers are sweep points")
+                .three_d_2a,
             inactive_silicon: mean_peak(
                 &pc_perfs,
                 ProcessorModel::ThreeDChecker,

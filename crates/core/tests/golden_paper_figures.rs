@@ -102,14 +102,14 @@ fn paper_results_figure_lines_are_pinned() {
     .expect("paper_results.txt at repo root");
     for line in [
         // Fig. 4: thermal overhead at the design point and the extremes.
-        "      7.0       77.0       80.5",
-        "     15.0       79.2       86.5",
-        "variants @7W: default 80.5, inactive-Si 77.5, corner 79.8, dense 84.4",
+        "      7.0       77.0       80.6",
+        "     15.0       79.3       86.6",
+        "variants @7W: default 80.6, inactive-Si 77.6, corner 79.8, dense 84.4",
         // Fig. 5: suite-mean peak temperatures.
-        "suite means: 2d-a 75.5, 2d-2a@7 77.0, 3d-2a@7 80.5, 2d-2a@15 79.2, 3d-2a@15 86.5",
+        "suite means: 2d-a 75.6, 2d-2a@7 77.0, 3d-2a@7 80.6, 2d-2a@15 79.3, 3d-2a@15 86.6",
         // Sec 3.3: iso-thermal operating points.
-        "   7 W checker: 1.86 GHz to match 2d-a (75.5 C), perf loss 7.0%",
-        "  15 W checker: 1.74 GHz to match 2d-a (75.5 C), perf loss 13.0%",
+        "   7 W checker: 1.86 GHz to match 2d-a (75.6 C), perf loss 7.0%",
+        "  15 W checker: 1.74 GHz to match 2d-a (75.6 C), perf loss 13.0%",
     ] {
         assert!(
             text.lines().any(|l| l == line),

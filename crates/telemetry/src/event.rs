@@ -81,12 +81,13 @@ pub enum Event {
         /// shadow (the §3.5 multi-error concern).
         unrecoverable: bool,
     },
-    /// One thermal-solver SOR iteration. JSONL:
+    /// One thermal-solver iteration. JSONL:
     /// `{"event":"solver_iteration","iteration":…,"residual":…}`.
     SolverIteration {
         /// Iteration number (1-based).
         iteration: u64,
-        /// Max-norm residual in kelvin.
+        /// The iteration's certified bound on the max-norm temperature
+        /// error, in kelvin.
         residual: f64,
     },
     /// A periodic snapshot of the machine state (see [`IntervalSample`]).

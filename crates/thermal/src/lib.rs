@@ -9,6 +9,12 @@
 //! single calibrated constant is the effective sink coefficient
 //! (`ThermalConfig::sink_h`).
 //!
+//! [`solve`] runs multigrid-preconditioned conjugate gradients on the
+//! grid's linear system and returns only once a certified bound on the
+//! max-norm temperature error is below `ThermalConfig::tolerance` (K);
+//! [`solve_traced`] also reports each iteration's bound to a telemetry
+//! sink.
+//!
 //! # Examples
 //!
 //! ```
@@ -30,4 +36,4 @@ mod solver;
 
 pub use model::{layer_stack, table3, LayerSpec, PowerMap, ThermalConfig};
 pub use result::ThermalResult;
-pub use solver::{solve, ThermalError};
+pub use solver::{solve, solve_traced, ThermalError};

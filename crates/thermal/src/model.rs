@@ -66,11 +66,13 @@ pub struct ThermalConfig {
     /// larger-than-die spreader and sink base, which a die-sized grid
     /// cannot represent geometrically.
     pub spreader_k: f64,
-    /// SOR relaxation factor.
-    pub sor_omega: f64,
-    /// Convergence threshold (max |ΔT| per sweep, K).
+    /// Certified accuracy, K: a solve returns only once
+    /// `max(G⁻¹·1)·‖P − G·T‖∞ ≤ tolerance`, which bounds the max-norm
+    /// error of every cell's temperature against the exact solution of
+    /// the discrete system (up to f64 rounding in the residual). The
+    /// bound cannot go below the f64 floor, about 1e-9 K at grid 50.
     pub tolerance: f64,
-    /// Iteration cap.
+    /// Cap on conjugate-gradient iterations.
     pub max_iters: usize,
 }
 
@@ -87,9 +89,8 @@ impl ThermalConfig {
             sink_h: 250_000.0,
             spreader_um: 6000.0,
             spreader_k: 3000.0,
-            sor_omega: 1.92,
             tolerance: 1e-4,
-            max_iters: 40_000,
+            max_iters: 1_000,
         }
     }
 
@@ -115,8 +116,8 @@ impl ThermalConfig {
         if self.sink_h <= 0.0 || self.spreader_um <= 0.0 || self.spreader_k <= 0.0 {
             return Err("sink and spreader must be positive".to_string());
         }
-        if !(1.0..2.0).contains(&self.sor_omega) {
-            return Err("SOR omega must be in [1, 2)".to_string());
+        if self.tolerance.is_nan() || self.tolerance <= 0.0 {
+            return Err("tolerance must be positive".to_string());
         }
         Ok(())
     }
@@ -254,7 +255,7 @@ mod tests {
         .validate()
         .is_err());
         assert!(ThermalConfig {
-            sor_omega: 2.5,
+            tolerance: 0.0,
             ..ThermalConfig::paper()
         }
         .validate()

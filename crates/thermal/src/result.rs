@@ -42,7 +42,8 @@ impl ThermalResult {
         self.ambient
     }
 
-    /// SOR sweeps used.
+    /// Conjugate-gradient iterations the solve took (0 when the
+    /// initial field already met the tolerance, e.g. at zero power).
     pub fn iterations(&self) -> usize {
         self.iterations
     }
